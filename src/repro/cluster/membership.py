@@ -46,6 +46,7 @@ import zlib
 from typing import Any
 
 from ..lsm import manifest as lsm_manifest
+from ..lsm.disk_format import encode_values
 from ..lsm.fs import FileSystem, WritableFile, join
 from ..lsm.sstable import table_file_name, write_sstable
 from ..lsm.wal import wal_file_name
@@ -130,7 +131,8 @@ def build_snapshot(
             write_sstable(
                 buf,
                 "mem",
-                mem,
+                [k for k, _ in mem],
+                encode_values([v for _, v in mem]),
                 table_id,
                 block_entries=engine._block_entries,
                 filter_factory=engine._filter_factory,

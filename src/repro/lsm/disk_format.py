@@ -11,15 +11,29 @@ end-of-log.  This is the checksummed-block discipline of the
 FB+-tree / RocksDB file formats.
 
 Values are typed, not pickled: the durable engine stores ints, bytes,
-UTF-8 strings, and tombstones.  Anything else raises ``TypeError`` at
+UTF-8 strings, and tombstones, each encoded as one tag byte plus a
+body (:func:`encode_value`).  Anything else raises ``TypeError`` at
 write time — a storage format must not silently depend on pickle.
+
+An SSTable block is one frame over a *columnar* payload::
+
+    <u32 n> <u32 key_len x n> <u32 val_len x n> <key 0>...<key n-1>
+    <encoded value 0>...<encoded value n-1>
+
+The two length columns lead, so :func:`decode_block` cuts every key
+and encoded value with C-level slicing and validates the value column
+(tags, int and tombstone widths) from its first bytes alone.
+Compaction moves ``(key, encoded value)`` slices from old blocks into
+new ones without ever building the Python values; only reads pay for
+:func:`decode_values`.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any
+from itertools import accumulate
+from typing import Any, Sequence
 
 #: Marker value for deletions (RocksDB tombstones).  Defined here, at
 #: the bottom of the lsm import graph, and re-exported by
@@ -35,6 +49,12 @@ _VAL_TOMBSTONE = 0
 _VAL_INT = 1
 _VAL_BYTES = 2
 _VAL_STR = 3
+#: The encoded form of :data:`TOMBSTONE` — what an encoded-entry merge
+#: compares against to drop deletions without decoding values.
+ENCODED_TOMBSTONE = bytes([_VAL_TOMBSTONE])
+_INT_TAG = bytes([_VAL_INT])
+_BYTES_TAG = bytes([_VAL_BYTES])
+_VALID_TAGS = bytes([_VAL_TOMBSTONE, _VAL_INT, _VAL_BYTES, _VAL_STR])
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -50,7 +70,7 @@ class FrameError(ValueError):
 def encode_value(value: Any) -> bytes:
     """Encode a storable value (int / bytes / str / TOMBSTONE)."""
     if value is TOMBSTONE:
-        return bytes([_VAL_TOMBSTONE])
+        return ENCODED_TOMBSTONE
     if isinstance(value, bool):  # bool is an int subclass; reject explicitly
         raise TypeError("durable LSM values must be int, bytes, or str")
     if isinstance(value, int):
@@ -58,7 +78,7 @@ def encode_value(value: Any) -> bytes:
             raise TypeError("int values must fit in a signed 64-bit word")
         return bytes([_VAL_INT]) + struct.pack("<q", value)
     if isinstance(value, bytes):
-        return bytes([_VAL_BYTES]) + value
+        return _BYTES_TAG + value
     if isinstance(value, str):
         return bytes([_VAL_STR]) + value.encode("utf-8")
     raise TypeError(
@@ -110,43 +130,78 @@ def read_frame(data: bytes, offset: int = 0) -> tuple[bytes, int]:
 # -- entry blocks ------------------------------------------------------------
 
 
-def encode_block(pairs: list[tuple[bytes, Any]]) -> bytes:
-    """One SSTable block: framed, CRC-checked entry run."""
-    out = bytearray(_U32.pack(len(pairs)))
-    for key, value in pairs:
-        val = encode_value(value)
-        out += _U32.pack(len(key))
-        out += key
-        out += _U32.pack(len(val))
-        out += val
-    return frame(bytes(out))
+def encode_values(values: Sequence[Any]) -> list[bytes]:
+    """:func:`encode_value` over a column (bytes values take a fast path)."""
+    return [
+        _BYTES_TAG + v if type(v) is bytes else encode_value(v) for v in values
+    ]
 
 
-def decode_block(data: bytes) -> list[tuple[bytes, Any]]:
-    """Inverse of :func:`encode_block` over one framed block.
+def decode_values(encoded: Sequence[bytes]) -> list[Any]:
+    """:func:`decode_value` over a column (bytes values take a fast path)."""
+    return [v[1:] if v[0] == _VAL_BYTES else decode_value(v) for v in encoded]
+
+
+def encode_block(keys: Sequence[bytes], values: Sequence[bytes]) -> bytes:
+    """One SSTable block from a key column and an *encoded* value column.
+
+    Columnar payload, one CRC frame::
+
+        <u32 n> <u32 key_len x n> <u32 val_len x n> <keys> <values>
+
+    ``values`` are :func:`encode_value` outputs — either fresh from
+    :func:`encode_values` (a flush) or sliced unchanged out of older
+    blocks by :func:`decode_block` (a compaction).
+    """
+    n = len(keys)
+    header = struct.pack(f"<{2 * n + 1}I", n, *map(len, keys), *map(len, values))
+    return frame(header + b"".join(keys) + b"".join(values))
+
+
+def decode_block(data) -> tuple[list[bytes], list[bytes]]:
+    """Inverse of :func:`encode_block`: ``(keys, encoded values)``.
+
+    Everything is checked before a slice is returned: the frame CRC and
+    length, that the length columns account for the payload exactly
+    (no truncation, no trailing bytes), and per value column that every
+    value is non-empty with a known tag, every int has an 8-byte body
+    and every tombstone is the bare tag.  Values are *not* decoded — compaction
+    copies them as they are; :func:`decode_values` types them for reads.
 
     Accepts any bytes-like input (including a ``memoryview`` slice of
-    an mmap'd table file); the decoded entries are always materialized
+    an mmap'd table file); the returned slices are always materialized
     ``bytes`` objects so they never alias the caller's buffer.
     """
     payload, _ = read_frame(data)
     if not isinstance(payload, bytes):
         payload = bytes(payload)
-    (count,) = _U32.unpack_from(payload, 0)
-    offset = 4
-    pairs: list[tuple[bytes, Any]] = []
-    for _ in range(count):
-        (klen,) = _U32.unpack_from(payload, offset)
-        offset += 4
-        key = payload[offset : offset + klen]
-        offset += klen
-        (vlen,) = _U32.unpack_from(payload, offset)
-        offset += 4
-        pairs.append((key, decode_value(payload[offset : offset + vlen])))
-        offset += vlen
-    if offset != len(payload):
+    size = len(payload)
+    if size < 4:
+        raise FrameError("truncated block header")
+    (n,) = _U32.unpack_from(payload, 0)
+    start = 4 + 8 * n
+    if start > size:
+        raise FrameError("truncated block header")
+    lengths = struct.unpack_from(f"<{2 * n}I", payload, 4)
+    offsets = list(accumulate(lengths, initial=start))
+    if offsets[-1] > size:
+        raise FrameError("truncated block payload")
+    if offsets[-1] != size:
         raise FrameError("trailing bytes in block payload")
-    return pairs
+    val_lengths = lengths[n:]
+    if 0 in val_lengths:
+        raise FrameError("empty value encoding")
+    cells = [payload[a:b] for a, b in zip(offsets, offsets[1:])]
+    tags = bytes([payload[o] for o in offsets[n:-1]])
+    if tags.translate(None, _VALID_TAGS):
+        raise FrameError("unknown value tag")
+    if ENCODED_TOMBSTONE in tags or _INT_TAG in tags:
+        for tag, length in zip(tags, val_lengths):
+            if tag == _VAL_INT and length != 9:
+                raise FrameError("bad int value length")
+            if tag == _VAL_TOMBSTONE and length != 1:
+                raise FrameError("bad tombstone length")
+    return cells[:n], cells[n:]
 
 
 # -- length-prefixed byte strings (for footers / manifests) ------------------

@@ -83,6 +83,7 @@ from ..compact.node_cache import ClockNodeCache
 from ..trees.gapped_btree import GappedBPlusTree
 from . import manifest as manifest_mod
 from . import wal as wal_mod
+from .disk_format import ENCODED_TOMBSTONE, encode_values
 from .fs import FileSystem, OsFileSystem, join
 from .manifest import ManifestState
 from .sstable import (
@@ -1003,7 +1004,7 @@ class LSMTree:
         # directory order), so the L0 table needs no sort pass.
         pairs = list(self._memtable.items())
         if self.durable:
-            table: SSTableBase = self._write_table(pairs)
+            table: SSTableBase = self._write_pairs(pairs)
             with self._lock:
                 levels = [list(level) for level in self._version.levels]
                 levels[0].insert(0, table)
@@ -1045,14 +1046,22 @@ class LSMTree:
             table_id=self._alloc_table_id(),
         )
 
-    def _write_table(self, pairs) -> DiskSSTable:
-        """Write one durable table file (fsynced before it returns)."""
+    def _write_pairs(self, pairs) -> DiskSSTable:
+        """Write a flush's ``(key, value)`` pairs as one table file,
+        encoding each value once."""
+        keys = [k for k, _ in pairs]
+        return self._write_table(keys, encode_values([v for _, v in pairs]))
+
+    def _write_table(self, keys, values) -> DiskSSTable:
+        """Write one durable table file from a key column and an encoded
+        value column (fsynced before it returns)."""
         tid = self._alloc_table_id()
         file_path = join(self.path, table_file_name(tid))
         write_sstable(
             self._fs,
             file_path,
-            pairs,
+            keys,
+            values,
             tid,
             block_entries=self._block_entries,
             filter_factory=self._filter_factory,
@@ -1088,7 +1097,7 @@ class LSMTree:
         raise, WAL retirement — happens under it.
         """
         pairs = list(frozen.data.items())
-        table = self._write_table(pairs) if self.durable else self._make_table(pairs)
+        table = self._write_pairs(pairs) if self.durable else self._make_table(pairs)
         with self._cond:
             levels = [list(level) for level in self._version.levels]
             levels[0].insert(0, table)
@@ -1170,12 +1179,16 @@ class LSMTree:
             overlapping = [t for t in next_level if t.overlaps(lo, hi)]
             # Tombstones drop when the output lands on the bottom level.
             drop_tombstones = len(cur) <= level + 2
-        merged = self._merge_tables(sources, overlapping, drop_tombstones)
-        make = self._write_table if self.durable else self._make_table
-        new_tables = [
-            make(merged[i : i + self._sstable_entries])
-            for i in range(0, len(merged), self._sstable_entries)
+        keys, values = self._merge_tables(sources, overlapping, drop_tombstones)
+        step = self._sstable_entries
+        runs = [
+            (keys[i : i + step], values[i : i + step])
+            for i in range(0, len(keys), step)
         ]
+        if self.durable:
+            new_tables = [self._write_table(k, v) for k, v in runs]
+        else:
+            new_tables = [self._make_table(list(zip(k, v))) for k, v in runs]
         source_ids = {t.table_id for t in sources}
         overlap_ids = {t.table_id for t in overlapping}
         with self._cond:
@@ -1197,19 +1210,28 @@ class LSMTree:
 
     def _merge_tables(
         self, newer: list[SSTableBase], older: list[SSTableBase], drop_tombstones: bool
-    ) -> list[tuple[bytes, Any]]:
-        """Newest-wins merge of runs (``newer`` is newest-first)."""
+    ) -> tuple[list[bytes], list[Any]]:
+        """Newest-wins merge of runs (``newer`` is newest-first) into a
+        sorted key column and its value column.
+
+        Durable tables merge their values still *encoded*: the entries
+        come straight out of the checked blocks and go straight back
+        into :func:`write_sstable`, and a tombstone is recognised by its
+        encoded form alone.  In-memory tables merge their values as is.
+        """
+        if self.durable:
+            entries, live = DiskSSTable.encoded_items, ENCODED_TOMBSTONE.__ne__
+        else:
+            entries, live = SSTableBase.items, lambda v: v is not TOMBSTONE
         merged: dict[bytes, Any] = {}
         for table in older:
-            for k, v in table.items():
-                merged[k] = v
+            merged.update(entries(table))
         for table in reversed(newer):  # apply oldest first, newest last
-            for k, v in table.items():
-                merged[k] = v
-        out = sorted(merged.items())
+            merged.update(entries(table))
+        keys = sorted(merged)
         if drop_tombstones:
-            out = [(k, v) for k, v in out if v is not TOMBSTONE]
-        return out
+            keys = [k for k in keys if live(merged[k])]
+        return keys, [merged[k] for k in keys]
 
     # -- block access with simulated I/O ------------------------------------------------
 
@@ -1498,28 +1520,37 @@ class LSMTree:
         prefix was not string-prefix-related to the minimum, silently
         dropping newer versions and tombstones of the winning key).
         The only sound prefix deduction is pruning: ``prefix > k``
-        proves the table holds nothing in ``[low, k]``.  So every
-        candidate is consulted newest-first, and :meth:`_table_seek`'s
-        internal prefix prune skips the block fetch whenever the prefix
-        already exceeds the running winner."""
-        prefixed: list[tuple[bytes, SSTableBase]] = []
-        for table in candidates:
+        proves the table holds nothing in ``[low, k]``.  So candidates
+        are visited in ascending (prefix, age) order: the first fetched
+        block usually holds the winner, and :meth:`_table_seek`'s prefix
+        prune then skips the fetch for every later table.  Visit order
+        is no longer age order, so a full-key tie is settled by age:
+        the newest table's entry — live or tombstone — wins."""
+        prefixed: list[tuple[bytes, int, SSTableBase]] = []
+        # ``candidates`` arrive newest-first: the index is the age rank.
+        for age, table in enumerate(candidates):
             it, _fp = table.filter_seek(low)
             if not it.valid:
                 continue  # sound: no stored entry (nor prefix) >= low
-            prefixed.append((it.key(), table))
+            prefixed.append((it.key(), age, table))
         if not prefixed:
             return None
-        min_prefix = min(p for p, _ in prefixed)
-        if high is not None and min_prefix > high:
+        prefixed.sort(key=lambda entry: entry[:2])
+        if high is not None and prefixed[0][0] > high:
             return None  # every candidate starts past the bound: no I/O
-        # ``candidates`` arrive newest-first, so on a full-key tie the
-        # first (newest) table's entry — live or tombstone — wins.
         result: tuple[bytes, Any] | None = None
-        for _prefix, table in prefixed:
-            cand = self._table_seek(table, low, high, result or best)
-            if cand is not None and (result is None or cand[0] < result[0]):
-                result = cand
+        result_age = 0
+        for prefix, age, table in prefixed:
+            bound = result or best
+            if bound is not None and prefix > bound[0]:
+                break  # this and every later table is pruned: no I/O
+            cand = self._table_seek(table, low, high, bound)
+            if cand is None:
+                continue
+            if result is None or cand[0] < result[0] or (
+                cand[0] == result[0] and age < result_age
+            ):
+                result, result_age = cand, age
         return result
 
     def _seek_candidates(self, view: _View, low: bytes) -> Iterator[SSTableBase]:

@@ -17,17 +17,30 @@ Two concrete kinds share one interface (:class:`SSTableBase`):
 On-disk layout (all units CRC-framed, see :mod:`.disk_format`)::
 
     [block 0] [block 1] ... [block n-1] [filter frame] [footer frame]
-    <u32 footer_frame_len> <magic "LSMS">
+    <u32 footer_frame_len> <magic "LSMC">
 
-The footer is found from the fixed-size trailer at the end of the
-file, RocksDB-style, so a table is self-describing.
+Each block frame holds up to ``block_entries`` entries in the columnar
+layout of :func:`~repro.lsm.disk_format.encode_block`: the entry count,
+then every key length, then every encoded-value length, then the keys,
+then the encoded values.  The footer frame holds the table id, the
+entry count, the min and max keys, the filter frame's span, and one
+``(offset, framed length, fence key)`` triple per block.  The footer
+is found from the fixed-size trailer at the end of the file,
+RocksDB-style, so a table is self-describing.  The magic names the
+block layout: a file with another magic (``"LSMS"`` marks the older
+per-entry blocks) is refused as "not an SSTable" rather than misparsed.
+
+:func:`write_sstable` takes its values already encoded, so a flush
+encodes each value once and a compaction — which reads blocks back with
+:meth:`DiskSSTable.encoded_items` — never decodes or re-encodes one.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from typing import Any, Sequence
+from itertools import chain
+from typing import Any, Iterator, Sequence
 
 from . import disk_format
 from .disk_format import TOMBSTONE, FrameError  # noqa: F401  (re-exported)
@@ -35,7 +48,8 @@ from .fs import FileSystem
 
 DEFAULT_BLOCK_ENTRIES = 64
 
-TABLE_MAGIC = b"LSMS"
+#: Names the columnar block layout; bump it whenever the layout changes.
+TABLE_MAGIC = b"LSMC"
 
 #: Filter-blob tags in the table footer.
 _FILTER_NONE = 0
@@ -201,31 +215,39 @@ def _decode_filter(tag: int, blob, keys_loader, filter_factory, copy: bool = Tru
 def write_sstable(
     fs: FileSystem,
     path: str,
-    pairs: Sequence[tuple[bytes, Any]],
+    keys: Sequence[bytes],
+    values: Sequence[bytes],
     table_id: int,
     block_entries: int = DEFAULT_BLOCK_ENTRIES,
     filter_factory=None,
 ) -> None:
     """Write one table file: blocks, filter, footer — then fsync.
 
+    ``keys`` must be strictly increasing; ``values`` are the matching
+    *encoded* values (:func:`~repro.lsm.disk_format.encode_values`, or
+    slices from :meth:`DiskSSTable.encoded_items`).
+
     The file is complete and durable when this returns; visibility is
     the manifest's job (a crash before the manifest install leaves an
     orphan file that recovery garbage-collects).
     """
-    if not pairs:
+    if not keys:
         raise ValueError("SSTable cannot be empty")
-    flt = filter_factory([k for k, _ in pairs]) if filter_factory else None
+    if len(keys) != len(values):
+        raise ValueError("one encoded value per key")
+    flt = filter_factory(list(keys)) if filter_factory else None
     filter_tag, filter_blob = _encode_filter(flt)
 
     f = fs.create(path)
     offsets: list[tuple[int, int]] = []  # (offset, framed length) per block
     fences: list[bytes] = []
     pos = 0
-    for i in range(0, len(pairs), block_entries):
-        block = list(pairs[i : i + block_entries])
-        raw = disk_format.encode_block(block)
+    for i in range(0, len(keys), block_entries):
+        raw = disk_format.encode_block(
+            keys[i : i + block_entries], values[i : i + block_entries]
+        )
         offsets.append((pos, len(raw)))
-        fences.append(block[0][0])
+        fences.append(keys[i])
         f.append(raw)
         pos += len(raw)
     filter_frame = disk_format.frame(bytes([filter_tag]) + filter_blob)
@@ -235,9 +257,9 @@ def write_sstable(
 
     footer = bytearray()
     footer += disk_format.pack_u64(table_id)
-    footer += disk_format.pack_u64(len(pairs))
-    footer += disk_format.pack_bytes(pairs[0][0])
-    footer += disk_format.pack_bytes(pairs[-1][0])
+    footer += disk_format.pack_u64(len(keys))
+    footer += disk_format.pack_bytes(keys[0])
+    footer += disk_format.pack_bytes(keys[-1])
     footer += disk_format.pack_u64(filter_offset)
     footer += disk_format.pack_u64(len(filter_frame))
     footer += disk_format.pack_u64(len(offsets))
@@ -266,8 +288,9 @@ class DiskSSTable(SSTableBase):
     ``read_block`` serves each block frame as a ``memoryview`` slice of
     the mapping; :func:`~repro.lsm.disk_format.decode_block`
     materializes the entries so nothing returned to callers aliases
-    the map.  ``close()`` is safe with views outstanding (see
-    :class:`~repro.lsm.fs.MappedFile`).
+    the map.  ``encoded_items`` is the compaction read: the same
+    checked blocks, values left encoded.  ``close()`` is safe with
+    views outstanding (see :class:`~repro.lsm.fs.MappedFile`).
     """
 
     def __init__(
@@ -388,10 +411,22 @@ class DiskSSTable(SSTableBase):
         self._ensure_footer()
         return len(self._block_spans)
 
-    def read_block(self, idx: int) -> list[tuple[bytes, Any]]:
-        self._ensure_footer()
+    def _block_columns(self, idx: int) -> tuple[list[bytes], list[bytes]]:
         off, length = self._block_spans[idx]
         return disk_format.decode_block(self._ensure_map().view[off : off + length])
+
+    def read_block(self, idx: int) -> list[tuple[bytes, Any]]:
+        self._ensure_footer()
+        keys, values = self._block_columns(idx)
+        return list(zip(keys, disk_format.decode_values(values)))
+
+    def encoded_items(self) -> Iterator[tuple[bytes, bytes]]:
+        """Every ``(key, encoded value)`` in key order, CRC- and
+        tag-checked block by block but never decoded (compaction)."""
+        self._ensure_footer()
+        return chain.from_iterable(
+            zip(*self._block_columns(idx)) for idx in range(len(self._block_spans))
+        )
 
     def close(self) -> None:
         """Release the mapping (tolerates outstanding views)."""

@@ -156,6 +156,9 @@ class KVServer:
         self.stats = ServerStats()
         self.shards: dict[int, Any] = {}
         self._server: asyncio.AbstractServer | None = None
+        #: One task per accepted connection; shutdown cancels and awaits
+        #: them, so none outlives the event loop.
+        self._conn_tasks: set[asyncio.Task] = set()
         self._closing = False
         self._shutdown_requested: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -293,20 +296,44 @@ class KVServer:
 
     async def shutdown(self) -> None:
         """Graceful drain: stop accepting, finish queued work, sync and
-        close every engine.  Idempotent."""
+        close every engine, then close every connection.  Idempotent."""
         self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self._stop_workers()
-        if self._replication is not None:
-            # Workers are stopped, so the logs are final; ship whatever
-            # is still queued before cutting the follower links.
-            repl = self._replication
-            await asyncio.get_running_loop().run_in_executor(
-                None, repl.drain_and_stop
-            )
+        try:
+            if self._server is not None:
+                self._server.close()
+                await self._server.wait_closed()
+                self._server = None
+            await self._stop_workers()
+            if self._replication is not None:
+                # Workers are stopped, so the logs are final; ship whatever
+                # is still queued before cutting the follower links.
+                repl = self._replication
+                await asyncio.get_running_loop().run_in_executor(
+                    None, repl.drain_and_stop
+                )
+        finally:
+            await self._close_connections()
+
+    async def _close_connections(self) -> None:
+        """Cancel every connection task and wait for its cleanup.
+
+        ``wait_closed`` on the listener does not end accepted
+        connections, so without this their tasks would still be pending
+        when the loop closes.  The first cancel interrupts the read; the
+        task still writes the responses it owes (the workers have
+        drained, so their futures are done).  A task still running a
+        second later — its client stopped reading, or it awaits a
+        replication ack — is cancelled again, which abandons the write.
+        """
+        tasks = [task for task in self._conn_tasks if not task.done()]
+        for task in tasks:
+            task.cancel()
+        if not tasks:
+            return
+        _, pending = await asyncio.wait(tasks, timeout=1.0)
+        for task in pending:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     async def _stop_workers(self) -> None:
         workers, self.shards = list(self.shards.values()), {}
@@ -326,6 +353,8 @@ class KVServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._conn_tasks.add(task)
         self.stats.record_connection(opened=True)
         responses: asyncio.Queue = asyncio.Queue()
         writer_task = asyncio.create_task(self._write_responses(responses, writer))
@@ -366,13 +395,19 @@ class KVServer:
                 await writer_task
             except Exception:
                 pass
-            self._drain_queue(responses)
-            writer.close()
+            finally:
+                # No-op once the writer is done; when shutdown's second
+                # cancel lands in the await above, the unsent responses
+                # are abandoned with it.
+                writer_task.cancel()
+                self._drain_queue(responses)
+                writer.close()
+                self.stats.record_connection(opened=False)
+                self._conn_tasks.discard(task)
             try:
                 await writer.wait_closed()
             except Exception:
                 pass
-            self.stats.record_connection(opened=False)
 
     @staticmethod
     def _drain_queue(responses: asyncio.Queue) -> None:

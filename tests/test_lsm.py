@@ -1,12 +1,14 @@
 """Tests for the LSM-tree engine and its filter integrations (Ch. 4)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.filters import BloomFilter
 from repro.lsm import LSMTree, TOMBSTONE, SSTable
-from repro.surf import surf_real
+from repro.surf import surf_base, surf_real
 from repro.workloads import encode_u64, random_u64_keys
 from repro.workloads.sensors import (
     closed_seek_range_ns,
@@ -304,6 +306,96 @@ class TestRegressions:
             lsm.delete(encode_u64(i))
         lsm.flush_memtable()
         assert lsm.seek(encode_u64(0)) == (encode_u64(150), 150)
+
+    @staticmethod
+    def _two_l0_tables(older, newer):
+        """An in-memory engine whose L0 holds exactly ``older`` then
+        ``newer`` (each a dict; ``None`` marks a delete), filtered by
+        SuRF-Base so every filter prefix is as short as its table
+        allows."""
+        lsm = LSMTree(
+            memtable_entries=1000,
+            level0_limit=10,
+            filter_factory=lambda keys: surf_base(sorted(keys)),
+        )
+        for table in (older, newer):
+            for key, value in table.items():
+                if value is None:
+                    lsm.delete(key)
+                else:
+                    lsm.put(key, value)
+            lsm.flush_memtable()
+        assert [len(level) for level in lsm.levels][:1] == [2]
+        return lsm
+
+    def test_filtered_seek_newer_tombstone_behind_longer_prefix(self):
+        """The older table's prefix for ``apple`` is ``a`` (its only
+        a-key); the newer table, which deletes ``apple``, needs the
+        full ``apple`` to tell it from ``apply``.  Visiting in prefix
+        order reaches the older live ``apple`` first; the tie must
+        still go to the newer table's tombstone."""
+        lsm = self._two_l0_tables(
+            older={b"apple": 1, b"banana": 2},
+            newer={b"apple": None, b"apply": 3},
+        )
+        assert lsm.seek(b"ap") == (b"apply", 3)
+        assert lsm.seek(b"ap", b"applf") is None
+
+    def test_filtered_seek_older_tombstone_behind_longer_prefix(self):
+        """The mirror case: the newer table holds the live ``apple``
+        under the short prefix, the older one a tombstone for it."""
+        lsm = self._two_l0_tables(
+            older={b"apple": None, b"apply": 3},
+            newer={b"apple": 1, b"banana": 2},
+        )
+        assert lsm.seek(b"ap") == (b"apple", 1)
+
+    def test_filtered_seek_fetches_winner_block_first(self):
+        """Prefix order puts the winning table first, so every later
+        candidate is pruned by its prefix: one block access per seek."""
+        lsm = LSMTree(
+            memtable_entries=64,
+            level0_limit=10,
+            filter_factory=lambda keys: surf_base(sorted(keys)),
+        )
+        # Four L0 tables with interleaved keys: the winner of a seek
+        # is in a different table from one seek to the next.
+        for table in range(4):
+            for i in range(64):
+                lsm.put(encode_u64(4 * i + table), i)
+            lsm.flush_memtable()
+        lsm.io.reset()
+        for i in range(200):
+            assert lsm.seek(encode_u64(i))[0] == encode_u64(i)
+        assert lsm.io.block_reads + lsm.io.cache_hits == 200
+
+    def test_filtered_seek_matches_model_under_truncated_prefixes(self):
+        """Random puts and deletes over a prefix-heavy key space, many
+        overlapping tables, SuRF-Base filters: every seek agrees with a
+        dict model."""
+        rng = random.Random(11)
+        alphabet = [b"a", b"ab", b"abc", b"abd", b"b", b"ba", b"bab"]
+        space = sorted({x + y for x in alphabet for y in alphabet})
+        lsm = LSMTree(
+            memtable_entries=6,
+            sstable_entries=12,
+            level0_limit=4,
+            level_fanout=2,
+            filter_factory=lambda keys: surf_base(sorted(keys)),
+        )
+        model: dict[bytes, int] = {}
+        for step in range(1500):
+            key = rng.choice(space)
+            if rng.random() < 0.4:
+                lsm.delete(key)
+                model.pop(key, None)
+            else:
+                lsm.put(key, step)
+                model[key] = step
+            low = rng.choice(space)[: rng.randint(1, 4)]
+            live = sorted(k for k in model if k >= low)
+            expected = (live[0], model[live[0]]) if live else None
+            assert lsm.seek(low) == expected, (step, low)
 
     def test_compaction_evicts_dead_tables_from_block_cache(self):
         """Compaction replaces tables; their cached blocks used to squat

@@ -29,6 +29,7 @@ from repro.fst.serialize import (
     surf_to_bytes,
 )
 from repro.lsm import LSMTree
+from repro.lsm.disk_format import encode_values
 from repro.lsm.fs import MappedFile, OsFileSystem
 from repro.lsm.sstable import DiskSSTable, SSTableReader, write_sstable
 from repro.surf import SuRF
@@ -114,7 +115,10 @@ class TestMappedFile:
 class TestLazyOpen:
     def _write(self, fs, path, n=200, **kw):
         pairs = [(encode_u64(i), i) for i in range(n)]
-        write_sstable(fs, path, pairs, table_id=7, block_entries=8, **kw)
+        write_sstable(
+            fs, path, [k for k, _ in pairs], encode_values([v for _, v in pairs]),
+            table_id=7, block_entries=8, **kw,
+        )
         return pairs
 
     def test_manifest_id_construction_does_zero_io(self):
